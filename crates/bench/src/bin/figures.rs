@@ -385,19 +385,17 @@ fn bench_json() {
     let executors_reused = autotype_serve::Metrics::read(&runtime.metrics().executors_reused);
     let executors_cloned = autotype_serve::Metrics::read(&runtime.metrics().executors_cloned);
 
-    // --- Serve throughput: lazy vs eager probe counts, keep-alive vs
-    // per-request connections. Fresh runtimes so caches start cold and
-    // the probe counts are comparable.
+    // --- Serve throughput: lazy probe counts against the full
+    // `value × pack` matrix, keep-alive vs per-request connections. A
+    // fresh runtime so the cache starts cold and every issued probe runs.
     println!("== bench-json: serve throughput (lazy scheduling + keep-alive) ==");
     let lazy_rt = autotype_serve::DetectorRuntime::load_dir(&pack_dir, serve_workers, 65_536)
         .expect("lazy runtime");
     lazy_rt.detect_batch(&batch);
     let lazy_probes = autotype_serve::Metrics::read(&lazy_rt.metrics().cache_misses);
     let probes_saved = autotype_serve::Metrics::read(&lazy_rt.metrics().probes_saved);
-    let eager_rt = autotype_serve::DetectorRuntime::load_dir(&pack_dir, serve_workers, 65_536)
-        .expect("eager runtime");
-    eager_rt.detect_batch_eager(&batch);
-    let eager_probes = autotype_serve::Metrics::read(&eager_rt.metrics().cache_misses);
+    // The eager matrix probes every (value, pack) cell.
+    let eager_probes = (batch.len() * lazy_rt.packs().len()) as u64;
     println!(
         "serve: probes issued  lazy {lazy_probes}  eager {eager_probes}  saved {probes_saved}"
     );

@@ -209,12 +209,6 @@ impl AutoType {
         self.pool.workers()
     }
 
-    /// The engine's shared execution pool — evaluation drivers batch
-    /// column-detection jobs through it (see `detect_by_values_batched`).
-    pub fn pool(&self) -> &ExecPool {
-        &self.pool
-    }
-
     /// Keyword retrieval: union of top-k from both engines (§4.1).
     pub fn retrieve(&self, keyword: &str) -> Vec<usize> {
         union_top_k(
@@ -407,31 +401,14 @@ impl<'a> Session<'a> {
         let mut out: Vec<(Vec<BTreeSet<Literal>>, Vec<BTreeSet<Literal>>)> =
             vec![(Vec::new(), Vec::new()); self.candidates.len()];
         for (ci, sc) in self.candidates.iter().enumerate() {
-            let exec = self
-                .executors
-                .iter_mut()
-                .find(|(repo, _)| *repo == sc.repo)
-                .map(|(_, e)| e)
-                .expect("executor for repository");
+            let slot = executor_slot(&self.executors, sc.repo);
+            let exec = &mut self.executors[slot].1;
             for input in inputs {
-                let outcome = exec.run(&sc.candidate, input, &self.engine.packages);
-                self.fuel_spent += outcome.fuel_used;
+                let (full, bb, fuel_used) =
+                    traced_run(exec, &sc.candidate, input, &self.engine.packages);
+                self.fuel_spent += fuel_used;
                 self.installs = self.installs.max(exec.installs);
-                let mut bb = BTreeSet::new();
-                match &outcome.result {
-                    Ok(value) => {
-                        bb.insert(Literal::Ret {
-                            site: autotype_lang::SiteId::new(u32::MAX, 0),
-                            value: autotype_lang::ValueSummary::of(value),
-                        });
-                    }
-                    Err(e) => {
-                        bb.insert(Literal::Exception {
-                            kind: e.kind.clone(),
-                        });
-                    }
-                }
-                out[ci].0.push(featurize(&outcome.trace));
+                out[ci].0.push(full);
                 out[ci].1.push(bb);
             }
         }
@@ -478,11 +455,7 @@ impl<'a> Session<'a> {
         let executors = std::mem::take(&mut self.executors);
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); executors.len()];
         for (ci, sc) in self.candidates.iter().enumerate() {
-            let slot = executors
-                .iter()
-                .position(|(repo, _)| *repo == sc.repo)
-                .expect("executor for repository");
-            groups[slot].push(ci);
+            groups[executor_slot(&executors, sc.repo)].push(ci);
         }
 
         let packages = &self.engine.packages;
@@ -531,23 +504,10 @@ impl<'a> Session<'a> {
                 let mut full = Vec::with_capacity(inputs.len());
                 let mut bbs = Vec::with_capacity(inputs.len());
                 for input in inputs {
-                    let outcome = exec.run(&sc.candidate, input, packages);
-                    fuel += outcome.fuel_used;
-                    let mut bb = BTreeSet::new();
-                    match &outcome.result {
-                        Ok(value) => {
-                            bb.insert(Literal::Ret {
-                                site: autotype_lang::SiteId::new(u32::MAX, 0),
-                                value: autotype_lang::ValueSummary::of(value),
-                            });
-                        }
-                        Err(e) => {
-                            bb.insert(Literal::Exception {
-                                kind: e.kind.clone(),
-                            });
-                        }
-                    }
-                    full.push(featurize(&outcome.trace));
+                    let (trace, bb, fuel_used) =
+                        traced_run(&mut exec, &sc.candidate, input, packages);
+                    fuel += fuel_used;
+                    full.push(trace);
                     bbs.push(bb);
                 }
                 per_cand.push((ci, (full, bbs)));
@@ -584,6 +544,15 @@ impl<'a> Session<'a> {
     /// Number of discovered candidate functions.
     pub fn candidate_count(&self) -> usize {
         self.candidates.len()
+    }
+
+    /// Index of the session candidate a ranked function was ranked from.
+    fn candidate_index(&self, function: &RankedFunction) -> Option<usize> {
+        self.candidates.iter().position(|sc| {
+            sc.repo == function.repo
+                && sc.file == function.file
+                && sc.candidate.entry == function.entry
+        })
     }
 
     /// Rank candidates with a method and synthesize validators.
@@ -686,62 +655,15 @@ impl<'a> Session<'a> {
         let Some(validator) = &function.validator else {
             return false;
         };
-        let Some(sc_idx) = self.candidates.iter().position(|sc| {
-            sc.repo == function.repo
-                && sc.file == function.file
-                && sc.candidate.entry == function.entry
-        }) else {
+        let Some(ci) = self.candidate_index(function) else {
             return false;
         };
-        let sc_repo = self.candidates[sc_idx].repo;
-        let candidate = self.candidates[sc_idx].candidate.clone();
-        let exec = self
-            .executors
-            .iter_mut()
-            .find(|(repo, _)| *repo == sc_repo)
-            .map(|(_, e)| e)
-            .expect("executor");
-        let (trace, fuel_used) = probe_trace(exec, &candidate, input, &self.engine.packages);
+        let sc = &self.candidates[ci];
+        let slot = executor_slot(&self.executors, sc.repo);
+        let exec = &mut self.executors[slot].1;
+        let (trace, fuel_used) = probe_trace(exec, &sc.candidate, input, &self.engine.packages);
         self.fuel_spent += fuel_used;
         validator.accepts(&trace)
-    }
-
-    /// Detach a thread-safe batch handle for a ranked function's validator,
-    /// for scoring whole columns of values concurrently (§9.1's batched
-    /// detection path). Returns `None` when the function has no synthesized
-    /// validator or no longer resolves to a session candidate — exactly the
-    /// cases where [`validate`](Session::validate) answers `false` for every
-    /// input, so callers can simply skip such functions.
-    ///
-    /// The handle snapshots the candidate's executor at call time; fold its
-    /// fuel accounting back with [`absorb_batch`](Session::absorb_batch)
-    /// when the batch is done.
-    pub fn batch_validator(&self, function: &RankedFunction) -> Option<BatchValidator<'a>> {
-        let validator = function.validator.clone()?;
-        let sc = self.candidates.iter().find(|sc| {
-            sc.repo == function.repo
-                && sc.file == function.file
-                && sc.candidate.entry == function.entry
-        })?;
-        let exec = self
-            .executors
-            .iter()
-            .find(|(repo, _)| *repo == sc.repo)
-            .map(|(_, e)| e.clone())
-            .expect("executor");
-        Some(BatchValidator {
-            packages: &self.engine.packages,
-            candidate: sc.candidate.clone(),
-            exec,
-            validator,
-            fuel: std::sync::atomic::AtomicU64::new(0),
-        })
-    }
-
-    /// Fold a finished batch handle's fuel accounting back into the
-    /// session's Figure 14 cost measure.
-    pub fn absorb_batch(&mut self, batch: BatchValidator<'_>) {
-        self.fuel_spent += batch.fuel.into_inner();
     }
 
     /// Export a ranked function's synthesized validator as a portable
@@ -755,8 +677,7 @@ impl<'a> Session<'a> {
     /// Returns `None` for functions without a synthesized validator (KW/LR
     /// rankings) or whose candidate no longer resolves — the same cases
     /// where [`validate`](Session::validate) answers `false` for every
-    /// input. A rehydrated pack validator's verdicts are bit-identical to
-    /// [`batch_validator`](Session::batch_validator)'s.
+    /// input.
     pub fn export_pack(
         &self,
         function: &RankedFunction,
@@ -764,12 +685,8 @@ impl<'a> Session<'a> {
         method: Method,
     ) -> Option<Pack> {
         let validator = function.validator.as_ref()?;
-        let sc = self.candidates.iter().find(|sc| {
-            sc.repo == function.repo
-                && sc.file == function.file
-                && sc.candidate.entry == function.entry
-        })?;
-        let (_, exec) = self.executors.iter().find(|(repo, _)| *repo == sc.repo)?;
+        let sc = &self.candidates[self.candidate_index(function)?];
+        let exec = &self.executors[executor_slot(&self.executors, sc.repo)].1;
         let repo = self.engine.corpus.repository(sc.repo);
         // Snapshot every program file's source in file-id order. Each file
         // is either one of the repository's own files or an installed
@@ -834,22 +751,13 @@ impl<'a> Session<'a> {
     /// the acceptance notion used to unit-test functions that were ranked
     /// without a synthesized DNF (the KW/LR baselines).
     pub fn executes_ok(&mut self, function: &RankedFunction, input: &str) -> bool {
-        let Some(sc_idx) = self.candidates.iter().position(|sc| {
-            sc.repo == function.repo
-                && sc.file == function.file
-                && sc.candidate.entry == function.entry
-        }) else {
+        let Some(ci) = self.candidate_index(function) else {
             return false;
         };
-        let sc_repo = self.candidates[sc_idx].repo;
-        let candidate = self.candidates[sc_idx].candidate.clone();
-        let exec = self
-            .executors
-            .iter_mut()
-            .find(|(repo, _)| *repo == sc_repo)
-            .map(|(_, e)| e)
-            .expect("executor");
-        let outcome = exec.run(&candidate, input, &self.engine.packages);
+        let sc = &self.candidates[ci];
+        let slot = executor_slot(&self.executors, sc.repo);
+        let exec = &mut self.executors[slot].1;
+        let outcome = exec.run(&sc.candidate, input, &self.engine.packages);
         self.fuel_spent += outcome.fuel_used;
         match &outcome.result {
             Ok(autotype_lang::Value::Bool(false)) => false,
@@ -861,26 +769,17 @@ impl<'a> Session<'a> {
     /// Mine semantic transformations from a ranked function over the
     /// session's positive examples (§7.1).
     pub fn transformations(&mut self, function: &RankedFunction) -> Vec<Transformation> {
-        let Some(sc_idx) = self.candidates.iter().position(|sc| {
-            sc.repo == function.repo
-                && sc.file == function.file
-                && sc.candidate.entry == function.entry
-        }) else {
+        let Some(ci) = self.candidate_index(function) else {
             return Vec::new();
         };
-        let sc_repo = self.candidates[sc_idx].repo;
-        let candidate = self.candidates[sc_idx].candidate.clone();
-        let positives = self.positives.clone();
-        let exec = self
-            .executors
-            .iter_mut()
-            .find(|(repo, _)| *repo == sc_repo)
-            .map(|(_, e)| e)
-            .expect("executor");
-        let harvests: Vec<Vec<(String, String)>> = positives
+        let sc = &self.candidates[ci];
+        let slot = executor_slot(&self.executors, sc.repo);
+        let exec = &mut self.executors[slot].1;
+        let harvests: Vec<Vec<(String, String)>> = self
+            .positives
             .iter()
             .map(|p| {
-                let outcome = exec.run(&candidate, p, &self.engine.packages);
+                let outcome = exec.run(&sc.candidate, p, &self.engine.packages);
                 self.fuel_spent += outcome.fuel_used;
                 outcome.harvest
             })
@@ -889,43 +788,42 @@ impl<'a> Session<'a> {
     }
 }
 
-/// A thread-safe, detached handle for running one ranked function's
-/// synthesized validator over many inputs concurrently — the unit the
-/// batched column-detection path fans out across the exec pool.
-///
-/// Every [`accepts`](BatchValidator::accepts) call runs against a fresh
-/// (Arc-shallow) clone of the executor snapshot taken at
-/// [`Session::batch_validator`] time, so each call is a pure function of
-/// its input: verdicts are independent of call order and of how calls are
-/// scheduled across worker threads, which is what makes batched detection
-/// bit-identical at every worker count. Dynamic package installs triggered
-/// by a probe happen in the per-call clone and are discarded, so the
-/// snapshot never drifts mid-batch. Fuel is accumulated atomically (a
-/// commutative sum, deterministic under any schedule).
-pub struct BatchValidator<'a> {
-    packages: &'a PackageIndex,
-    candidate: Candidate,
-    exec: Executor,
-    validator: SynthesizedValidator,
-    fuel: std::sync::atomic::AtomicU64,
+/// Index of the executor that owns a repository's program. Every session
+/// candidate's repository has one: candidates are discovered only after
+/// their repository's executor is built.
+fn executor_slot(executors: &[(usize, Executor)], repo: usize) -> usize {
+    executors
+        .iter()
+        .position(|(r, _)| *r == repo)
+        .expect("executor for repository")
 }
 
-impl BatchValidator<'_> {
-    /// Algorithm 3 on one input: run the candidate, trace, check
-    /// `∧T(s) → DNF-E`.
-    pub fn accepts(&self, input: &str) -> bool {
-        let mut exec = self.exec.clone();
-        let (trace, fuel_used) = probe_trace(&mut exec, &self.candidate, input, self.packages);
-        self.fuel
-            .fetch_add(fuel_used, std::sync::atomic::Ordering::Relaxed);
-        self.validator.accepts(&trace)
+/// Run one candidate on one input and return what ranking consumes: the
+/// featurized trace, the black-box view (the summarized return value or
+/// the escaping exception kind — the RET baseline's input), and the fuel
+/// spent. The serial and parallel trace loops both go through here.
+fn traced_run(
+    exec: &mut Executor,
+    candidate: &Candidate,
+    input: &str,
+    packages: &PackageIndex,
+) -> (BTreeSet<Literal>, BTreeSet<Literal>, u64) {
+    let outcome = exec.run(candidate, input, packages);
+    let mut bb = BTreeSet::new();
+    match &outcome.result {
+        Ok(value) => {
+            bb.insert(Literal::Ret {
+                site: autotype_lang::SiteId::new(u32::MAX, 0),
+                value: autotype_lang::ValueSummary::of(value),
+            });
+        }
+        Err(e) => {
+            bb.insert(Literal::Exception {
+                kind: e.kind.clone(),
+            });
+        }
     }
-
-    /// Total fuel burned by all [`accepts`](BatchValidator::accepts) calls
-    /// so far.
-    pub fn fuel_spent(&self) -> u64 {
-        self.fuel.load(std::sync::atomic::Ordering::Relaxed)
-    }
+    (featurize(&outcome.trace), bb, outcome.fuel_used)
 }
 
 #[cfg(test)]

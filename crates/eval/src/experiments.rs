@@ -2,13 +2,13 @@
 //! evaluation (§8–§9). Each driver is parameterized by a type subset and a
 //! scale so the same code powers fast tests and the full `figures` binary.
 
-use autotype::{AutoType, BatchValidator, NegativeMode, RankedFunction, Session};
+use autotype::{AutoType, NegativeMode, PackValidator, RankedFunction, Session};
 use autotype_negative::{generate_negatives, MutationConfig, Strategy};
 use autotype_rank::Method;
+use autotype_serve::DetectorRuntime;
 use autotype_tables::{
-    correct_columns, detect_by_header, detect_by_pattern, detect_by_values_batched,
-    generate_columns, infer_pattern, score_type, Detection, InferredPattern, SyncValueDetector,
-    TableConfig, TypeOutcome, PAPER_TYPE_COUNTS,
+    correct_columns, detect_by_header, detect_by_pattern, generate_columns, infer_pattern,
+    score_type, Detection, InferredPattern, TableConfig, TypeOutcome, PAPER_TYPE_COUNTS,
 };
 use autotype_typesys::{by_slug, popular_types, registry, Coverage, SemanticType};
 use rand::rngs::StdRng;
@@ -412,8 +412,8 @@ pub struct Table2Timings {
     pub columns: usize,
     /// Per-type synthesis: session build + ranking + pattern inference.
     pub sessions_ms: f64,
-    /// Batched DNF-S detection (the column × detector matrix through the
-    /// exec pool).
+    /// DNF-S detection: pack export, validator rehydration, and
+    /// `DetectorRuntime::detect_table` over every column.
     pub dnf_ms: f64,
     /// Header-keyword baseline detection.
     pub kw_ms: f64,
@@ -447,15 +447,15 @@ pub fn table2(
 
 /// [`table2`] with detections and stage timings exposed.
 ///
-/// DNF-S detection is batched: each per-type synthesized validator becomes
-/// a thread-safe [`BatchValidator`] handle, and the whole column × detector
-/// matrix fans out through the engine's exec pool as one job per cell
-/// (`detect_by_values_batched`). The merge is index-ordered with
-/// first-matching-type-wins per column and the strict `> VALUE_THRESHOLD`
-/// acceptance rule, so detections and `Table2Row` scores are bit-identical
-/// at every worker count — the same guarantee the trace engine pins in
-/// `crates/core/tests/parallel_determinism.rs`, pinned here by
-/// `crates/eval/tests/batched_detection.rs`.
+/// DNF-S detection runs on the serving engine: each type's top function is
+/// exported as an in-memory pack and rehydrated into a [`PackValidator`],
+/// and one [`DetectorRuntime`] (types in `PAPER_TYPE_COUNTS` order as the
+/// priority order, the engine's worker count) runs `detect_table` over
+/// every column — first matching type wins, with the strict
+/// `> VALUE_THRESHOLD` rule. Probes are pure, so detections and
+/// `Table2Row` scores are bit-identical at every worker count, pinned by
+/// `crates/eval/tests/batched_detection.rs` and against a fixture by
+/// `crates/eval/tests/table2_golden.rs`.
 pub fn table2_full(
     engine: &AutoType,
     cfg: &EvalConfig,
@@ -498,32 +498,31 @@ pub fn table2_full(
     }
     let sessions_ms = ms(t);
 
-    // DNF detection: >80% of values accepted by the synthesized validator,
-    // batched through the exec pool. Functions without a validator would
-    // answer false for every value (never reaching the threshold), so
-    // skipping them changes nothing — including first-win priority.
+    // DNF detection: >80% of values accepted by the synthesized validator.
+    // Functions without a validator would answer false for every value
+    // (never reaching the threshold), so skipping them changes nothing —
+    // including first-win priority.
     let t = std::time::Instant::now();
-    let handles: Vec<(&'static str, BatchValidator<'_>)> = sessions
+    let (slugs, validators): (Vec<&'static str>, Vec<PackValidator>) = sessions
         .iter()
-        .filter_map(|(slug, session, top)| session.batch_validator(top).map(|bv| (*slug, bv)))
-        .collect();
-    let detectors: Vec<SyncValueDetector<'_>> = handles
-        .iter()
-        .map(|(slug, bv)| {
-            (
-                *slug,
-                Box::new(move |v: &str| bv.accepts(v)) as Box<dyn Fn(&str) -> bool + Sync>,
-            )
+        .filter_map(|(slug, session, top)| {
+            let pack = session.export_pack(top, slug, Method::DnfS)?;
+            Some((*slug, pack.validator().expect("exported pack rehydrates")))
+        })
+        .unzip();
+    let runtime = DetectorRuntime::from_packs(validators, engine.workers(), 65_536);
+    let column_values: Vec<Vec<String>> = columns.iter().map(|c| c.values.clone()).collect();
+    let dnf_detections: Vec<Detection> = runtime
+        .detect_table(&column_values, None)
+        .into_iter()
+        .enumerate()
+        .filter_map(|(column, pack)| {
+            pack.map(|pi| Detection {
+                column,
+                slug: slugs[pi],
+            })
         })
         .collect();
-    let dnf_detections = detect_by_values_batched(&columns, &detectors, engine.pool());
-    drop(detectors);
-    // Fold the batch fuel back into each owning session's cost accounting.
-    for (slug, bv) in handles {
-        if let Some((_, session, _)) = sessions.iter_mut().find(|(s, _, _)| *s == slug) {
-            session.absorb_batch(bv);
-        }
-    }
     let dnf_ms = ms(t);
 
     let t = std::time::Instant::now();

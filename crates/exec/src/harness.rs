@@ -278,13 +278,6 @@ impl Executor {
             }
             _ => {}
         }
-        // For method variants, also harvest instance attributes via a
-        // second instrumented run would be wasteful; instead the object is
-        // still reachable when the method returned `self` or stored state.
-        if let (EntryPoint::CtorThenMethod { class, .. }, Ok(_)) = (&candidate.entry, &result) {
-            let _ = class;
-        }
-
         let trace = interp.reset_trace();
         let fuel_used = interp.fuel_used();
         RunOutcome {

@@ -22,13 +22,19 @@ use std::sync::Mutex;
 #[derive(Debug, Clone)]
 pub struct ExecPool {
     workers: usize,
+    /// OS threads a fan-out may spawn: `workers` clamped to the machine's
+    /// `available_parallelism`, read once here because the query costs a
+    /// syscall per call and `run_ordered` sits on per-request paths.
+    threads: usize,
 }
 
 impl ExecPool {
     /// A pool with an explicit worker count (clamped to at least 1).
     pub fn new(workers: usize) -> ExecPool {
+        let workers = workers.max(1);
         ExecPool {
-            workers: workers.max(1),
+            workers,
+            threads: workers.min(default_workers()),
         }
     }
 
@@ -38,6 +44,8 @@ impl ExecPool {
         ExecPool::new(default_workers())
     }
 
+    /// The requested worker count (before the `available_parallelism`
+    /// clamp applied to spawned threads).
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -65,7 +73,7 @@ impl ExecPool {
         F: Fn(usize, T) -> R + Sync,
     {
         let n = items.len();
-        let threads = self.workers.min(default_workers());
+        let threads = self.threads;
         if threads == 1 || n <= 1 {
             // The exact serial code path: no threads, no queue, no locks.
             return items

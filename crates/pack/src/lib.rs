@@ -32,15 +32,15 @@
 //! Versioning rule: additive fields bump the version and are appended to
 //! the payload tail; field reordering or re-typing requires a new magic.
 //!
-//! [`Pack::validator`] rehydrates a [`PackValidator`] — the owned,
-//! thread-safe analogue of the session's batch handle: each `accepts` call
-//! clones the snapshot executor (Arc-shallow) and is a pure function of its
-//! input, so verdicts are bit-identical to the in-process session validator
-//! at any concurrency.
+//! [`Pack::validator`] rehydrates a [`PackValidator`], the owned,
+//! thread-safe online validator. Its one probe path is
+//! [`PackValidator::accepts_with_fuel_in`] over a reusable
+//! [`ProbeExecutor`] slot that is rolled back to the pack snapshot after
+//! every run, so each probe is a pure function of `(pack, value, fuel cap)`
+//! and verdicts are bit-identical to the in-process session validator at
+//! any concurrency.
 
-use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use autotype_exec::{probe_trace, Candidate, EntryPoint, Executor, Literal, PackageIndex};
 use autotype_lang::{Program, SiteId, ValueSummary};
@@ -267,7 +267,6 @@ impl Pack {
             validator: SynthesizedValidator {
                 dnf_e: self.dnf_e.clone(),
             },
-            fuel: AtomicU64::new(0),
         })
     }
 
@@ -483,13 +482,12 @@ fn read_literal(r: &mut Reader<'_>) -> Result<Literal, PackError> {
 
 /// The rehydrated online validator: runs the packed candidate under
 /// instrumentation and checks `∧T(s) → DNF-E` (Algorithm 3), exactly like
-/// the in-process session's batch handle.
+/// the in-process `Session::validate`.
 ///
-/// Thread-safe by construction: every [`accepts`](PackValidator::accepts)
-/// call clones the snapshot executor (Arc-shallow — parsed ASTs are
-/// shared), so each call is a pure function of its input and dynamic
-/// installs land in discarded clones. Fuel accumulates in an `AtomicU64`
-/// (a commutative sum — deterministic under any schedule).
+/// Read-only and thread-safe: a probe runs in a caller-held
+/// [`ProbeExecutor`] slot (see [`probe_executor`](Self::probe_executor)),
+/// never in the validator's own snapshot executor, and returns the fuel it
+/// spent instead of accumulating it here.
 #[derive(Debug)]
 pub struct PackValidator {
     pack_id: String,
@@ -499,7 +497,6 @@ pub struct PackValidator {
     candidate: Candidate,
     exec: Executor,
     validator: SynthesizedValidator,
-    fuel: AtomicU64,
 }
 
 impl PackValidator {
@@ -521,21 +518,6 @@ impl PackValidator {
         &self.validator.dnf_e
     }
 
-    /// Algorithm 3 on one input: run, trace, check `∧T(s) → DNF-E`.
-    pub fn accepts(&self, input: &str) -> bool {
-        let (trace, fuel) = self.trace(input);
-        self.fuel.fetch_add(fuel, Ordering::Relaxed);
-        self.validator.accepts(&trace)
-    }
-
-    /// Probe and return `(verdict, fuel_used)` without touching the
-    /// internal fuel counter — callers that keep their own fuel accounting
-    /// (the serve runtime's metrics) use this to avoid double counting.
-    pub fn accepts_with_fuel(&self, input: &str) -> (bool, u64) {
-        let (trace, fuel) = self.trace(input);
-        (self.validator.accepts(&trace), fuel)
-    }
-
     /// The per-probe fuel budget baked into the pack at export time.
     pub fn fuel_budget(&self) -> u64 {
         self.exec.fuel()
@@ -553,12 +535,13 @@ impl PackValidator {
         }
     }
 
-    /// [`accepts_with_fuel`](Self::accepts_with_fuel) through a reusable
-    /// [`ProbeExecutor`] and an optional per-probe fuel ceiling (clamped to
-    /// the pack's own budget). The slot is rolled back to the pack snapshot
-    /// after the run — dynamic installs are undone, the fuel budget is
-    /// restored — so every probe still sees the exact rehydrated state and
-    /// verdicts stay bit-identical to the clone-per-probe path.
+    /// Algorithm 3 on one input through a reusable [`ProbeExecutor`]: run,
+    /// trace, check `∧T(s) → DNF-E`, and return `(verdict, fuel_used)`.
+    /// `max_fuel` is an optional per-probe ceiling, clamped to the pack's
+    /// own budget. The slot is rolled back to the pack snapshot after the
+    /// run — dynamic installs are undone, the fuel budget is restored — so
+    /// every probe sees the exact rehydrated state: a reused slot answers
+    /// exactly like a fresh one.
     pub fn accepts_with_fuel_in(
         &self,
         slot: &mut ProbeExecutor,
@@ -572,23 +555,6 @@ impl PackValidator {
         slot.exec
             .reset_snapshot(slot.base_files, slot.base_installs);
         (self.validator.accepts(&trace), fuel)
-    }
-
-    /// The featurized probe trace for one input (with the synthetic
-    /// black-box literal), without touching the fuel counter.
-    pub fn trace(&self, input: &str) -> (BTreeSet<Literal>, u64) {
-        let mut exec = self.exec.clone();
-        probe_trace(&mut exec, &self.candidate, input, &self.packages)
-    }
-
-    /// Total fuel burned by all `accepts` calls so far.
-    pub fn fuel_spent(&self) -> u64 {
-        self.fuel.load(Ordering::Relaxed)
-    }
-
-    /// Drain the fuel counter (serve-runtime metric scraping).
-    pub fn take_fuel(&self) -> u64 {
-        self.fuel.swap(0, Ordering::Relaxed)
     }
 }
 
@@ -663,10 +629,12 @@ mod tests {
     #[test]
     fn rehydrated_validator_detects() {
         let v = sample_pack().validator().expect("validator");
-        assert!(v.accepts("abcd"));
-        assert!(v.accepts(""));
-        assert!(!v.accepts("abc"));
-        assert!(v.fuel_spent() > 0);
+        let mut slot = v.probe_executor();
+        let mut probe = |input| v.accepts_with_fuel_in(&mut slot, input, None);
+        assert!(probe("abcd").0);
+        assert!(probe("").0);
+        assert!(!probe("abc").0);
+        assert!(probe("abcd").1 > 0);
     }
 
     #[test]
@@ -730,7 +698,8 @@ mod tests {
         let v = sample_pack().validator().expect("validator");
         let mut slot = v.probe_executor();
         for input in ["abcd", "", "abc", "x", "abcdef", "odd"] {
-            let (cloned, cloned_fuel) = v.accepts_with_fuel(input);
+            let (cloned, cloned_fuel) =
+                v.accepts_with_fuel_in(&mut v.probe_executor(), input, None);
             let (reused, reused_fuel) = v.accepts_with_fuel_in(&mut slot, input, None);
             assert_eq!(reused, cloned, "verdict drift on {input:?}");
             assert_eq!(reused_fuel, cloned_fuel, "fuel drift on {input:?}");
@@ -742,7 +711,7 @@ mod tests {
         // The candidate imports `latelib` inside its body: invisible until
         // run time, so every probe triggers the dynamic install loop. The
         // reused slot must roll the install back after each probe and still
-        // answer identically to a fresh clone.
+        // answer identically to a fresh slot.
         let source = "def f(s):\n    import latelib\n    if latelib.short(s):\n        return True\n    return False\n";
         let pack = Pack {
             files: vec![("mod".into(), source.into())],
@@ -756,7 +725,8 @@ mod tests {
         let v = pack.validator().expect("validator");
         let mut slot = v.probe_executor();
         for input in ["ab", "abcd", "", "abc"] {
-            let (cloned, cloned_fuel) = v.accepts_with_fuel(input);
+            let (cloned, cloned_fuel) =
+                v.accepts_with_fuel_in(&mut v.probe_executor(), input, None);
             let (reused, reused_fuel) = v.accepts_with_fuel_in(&mut slot, input, None);
             assert_eq!(reused, cloned, "verdict drift on {input:?}");
             assert_eq!(reused_fuel, cloned_fuel, "fuel drift on {input:?}");

@@ -1,33 +1,38 @@
 //! The read-only detection runtime: a fixed, priority-ordered set of
 //! rehydrated detector packs, a shared execution pool, a verdict cache,
-//! leased probe executors, and live metrics.
+//! leased probe executors, and live metrics. It is the one column and
+//! value detector of the repository: the HTTP routes, the table2
+//! experiment (`autotype_eval::table2_full`) and the benchmark all call it.
 //!
 //! ## Semantics
 //!
-//! Detection follows the evaluation driver's contract exactly
-//! (`autotype_tables::detect_by_values_mut` and the batched variant):
-//! packs are scanned in **priority order** — lexicographic pack-file order
-//! at load time — and the **first** pack that accepts a value (or whose
-//! per-column accept fraction clears `VALUE_THRESHOLD`) wins. Verdicts are
-//! pure functions of `(pack, value)` (leased executors are rolled back to
-//! the pack snapshot after every probe), so the cache, the pool, and the
-//! scheduler are all transparent: any worker count, any cache state, and
-//! any probe order produce bit-identical answers.
+//! Detection is §9.1's rule, the same as the serial reference loop
+//! `autotype_tables::detect_by_values_mut`: packs are scanned in
+//! **priority order** (the order given to [`DetectorRuntime::from_packs`];
+//! lexicographic pack-file order for [`DetectorRuntime::load_dir`]) and
+//! the **first** pack whose accept fraction over a column clears
+//! `VALUE_THRESHOLD` wins. A single value is a one-value column — it
+//! passes a pack exactly when the pack accepts it, since 1/1 > 0.8 — so
+//! value, batch, column and table detection all run on one scheduler.
+//! Verdicts are pure functions of `(pack, value)` (leased executors are
+//! rolled back to the pack snapshot after every probe), so the cache, the
+//! pool, and the scheduler are all transparent: any worker count, any
+//! cache state, and any probe order produce bit-identical answers.
 //!
 //! ## Lazy tiered scheduling
 //!
-//! First-match-wins makes most of the eager `value × pack` matrix dead
-//! work: once pack 0 accepts a value, packs 1..N can never be consulted
-//! for it. The scheduler therefore probes **one pack tier at a time**
-//! across all still-unresolved values (each tier is one
-//! [`ExecPool::run_ordered`] fan-out), drops resolved values, and advances
-//! to the next tier. Columns additionally stop a tier's wave as soon as
-//! the accept count either mathematically clears `VALUE_THRESHOLD` or can
-//! no longer reach it. Probe purity is what makes this safe: skipping a
-//! cell the merge would have discarded anyway changes no verdict, only the
-//! probe count — exported as `autotype_probes_saved_total`. The
-//! `*_eager` variants keep the full-matrix behavior for equivalence tests
-//! and benchmarks.
+//! First-match-wins makes most of the `value × pack` matrix dead work:
+//! once pack 0 claims a column, packs 1..N can never be consulted for it.
+//! The scheduler therefore probes **one pack tier at a time** across all
+//! still-unresolved columns (each wave is one [`ExecPool::run_ordered`]
+//! fan-out), drops the columns the tier claimed, and advances to the next
+//! tier. Within a tier a column stops as soon as its accept count either
+//! mathematically clears `VALUE_THRESHOLD` or can no longer reach it.
+//! Probe purity is what makes this safe: skipping a cell changes no
+//! verdict, only the probe count — exported as
+//! `autotype_probes_saved_total`. The tests check the runtime against
+//! `detect_by_values_mut` over plain [`PackValidator`] probes, which share
+//! none of the cache, pool or scheduler.
 //!
 //! ## Per-request fuel ceilings
 //!
@@ -45,7 +50,7 @@ use std::time::Instant;
 
 use autotype_exec::ExecPool;
 use autotype_pack::{load_pack, PackError, PackValidator, ProbeExecutor, PACK_EXTENSION};
-use autotype_tables::{column_passes, VALUE_THRESHOLD};
+use autotype_tables::VALUE_THRESHOLD;
 
 use crate::cache::ShardedLru;
 use crate::metrics::Metrics;
@@ -158,14 +163,10 @@ impl DetectorRuntime {
         verdict
     }
 
-    /// One `(pack, value)` verdict through the cache (full pack budget).
-    pub fn probe(&self, pack: usize, value: &str) -> bool {
-        self.probe_capped(pack, value, None)
-    }
-
-    /// [`probe`](Self::probe) with an optional fuel ceiling. Ceilings below
-    /// the pack budget bypass the cache (see the module docs).
-    fn probe_capped(&self, pack: usize, value: &str, max_fuel: Option<u64>) -> bool {
+    /// One `(pack, value)` verdict. Full-budget probes go through the
+    /// cache; a `max_fuel` below the pack budget bypasses it (see the
+    /// module docs).
+    fn probe(&self, pack: usize, value: &str, max_fuel: Option<u64>) -> bool {
         if max_fuel.is_some_and(|cap| cap < self.packs[pack].fuel_budget()) {
             return self.probe_uncached(pack, value, max_fuel);
         }
@@ -179,44 +180,12 @@ impl DetectorRuntime {
         verdict
     }
 
-    /// Cache read without touching hit/miss counters; falls back to a
-    /// (counted) probe if the entry was evicted. Used by the second pass of
-    /// [`detect_column_eager`](Self::detect_column_eager), which re-reads
-    /// verdicts the warm pass just computed — counting those reads as hits
-    /// would double-book every column value.
-    fn verdict_quiet(&self, pack: usize, value: &str) -> bool {
-        match self.cache.get(pack, value) {
-            Some(verdict) => verdict,
-            None => self.probe(pack, value),
-        }
-    }
-
-    /// Detect a single value: first pack (in priority order) that accepts.
-    /// Returns the pack index.
-    pub fn detect_value(&self, value: &str) -> Option<usize> {
-        self.detect_value_with(value, None)
-    }
-
-    /// [`detect_value`](Self::detect_value) with an optional per-request
-    /// fuel ceiling.
-    pub fn detect_value_with(&self, value: &str, max_fuel: Option<u64>) -> Option<usize> {
-        self.metrics.values_served.fetch_add(1, Ordering::Relaxed);
-        let mut issued = 0u64;
-        let found = (0..self.packs.len()).find(|&pi| {
-            issued += 1;
-            self.probe_capped(pi, value, max_fuel)
-        });
-        self.metrics
-            .probes_saved
-            .fetch_add(self.packs.len() as u64 - issued, Ordering::Relaxed);
-        found
-    }
-
-    /// Detect a batch of values with lazy tiered scheduling: probe pack 0
-    /// across all values through the pool, drop the values it claimed,
-    /// advance to pack 1 with the survivors, and so on. Identical verdicts
-    /// to mapping [`detect_value`](Self::detect_value) over the batch;
-    /// cells below the first match are never issued.
+    /// Detect each value of a batch on its own: the first pack (in
+    /// priority order) that accepts it. Each value is a one-value column
+    /// of [`detect_table`](Self::detect_table), so pack 0 is probed across
+    /// all values in one fan-out, the values it claims drop out, and the
+    /// survivors move on to pack 1; cells below a value's first match are
+    /// never issued.
     pub fn detect_batch(&self, values: &[String]) -> Vec<Option<usize>> {
         self.detect_batch_with(values, None)
     }
@@ -228,69 +197,13 @@ impl DetectorRuntime {
         values: &[String],
         max_fuel: Option<u64>,
     ) -> Vec<Option<usize>> {
-        self.metrics
-            .values_served
-            .fetch_add(values.len() as u64, Ordering::Relaxed);
-        let npacks = self.packs.len();
-        let mut out = vec![None; values.len()];
-        if npacks == 0 || values.is_empty() {
-            return out;
-        }
-        let mut issued = 0u64;
-        let mut unresolved: Vec<usize> = (0..values.len()).collect();
-        for pi in 0..npacks {
-            if unresolved.is_empty() {
-                break;
-            }
-            issued += unresolved.len() as u64;
-            let verdicts = self.pool.run_ordered(unresolved.clone(), |_, vi| {
-                self.probe_capped(pi, &values[vi], max_fuel)
-            });
-            let mut survivors = Vec::with_capacity(unresolved.len());
-            for (&vi, verdict) in unresolved.iter().zip(verdicts) {
-                if verdict {
-                    out[vi] = Some(pi);
-                } else {
-                    survivors.push(vi);
-                }
-            }
-            unresolved = survivors;
-        }
-        self.metrics
-            .probes_saved
-            .fetch_add((values.len() * npacks) as u64 - issued, Ordering::Relaxed);
-        out
-    }
-
-    /// The eager `value × pack` matrix [`detect_batch`](Self::detect_batch)
-    /// replaced: every cell is evaluated through the pool and the merge
-    /// discards cells below the first match. Kept as the reference
-    /// implementation for lazy == eager equivalence tests and benchmarks
-    /// (it also warms the cache for *every* pack, which the lazy path
-    /// deliberately does not).
-    pub fn detect_batch_eager(&self, values: &[String]) -> Vec<Option<usize>> {
-        self.metrics
-            .values_served
-            .fetch_add(values.len() as u64, Ordering::Relaxed);
-        if self.packs.is_empty() || values.is_empty() {
-            return vec![None; values.len()];
-        }
-        let npacks = self.packs.len();
-        let cells: Vec<(usize, usize)> = (0..values.len())
-            .flat_map(|vi| (0..npacks).map(move |pi| (vi, pi)))
-            .collect();
-        let verdicts = self
-            .pool
-            .run_ordered(cells, |_, (vi, pi)| self.probe(pi, &values[vi]));
-        (0..values.len())
-            .map(|vi| (0..npacks).find(|pi| verdicts[vi * npacks + pi]))
-            .collect()
+        let singletons: Vec<&[String]> = values.iter().map(std::slice::from_ref).collect();
+        self.detect_columns_tiered(&singletons, max_fuel)
     }
 
     /// Detect a whole column: first pack (in priority order) whose accept
-    /// fraction over the column clears `VALUE_THRESHOLD` — the exact
-    /// semantics of the evaluation driver's `detect_by_values_mut`, with
-    /// lazy tiered scheduling and intra-tier early termination.
+    /// fraction over the column clears `VALUE_THRESHOLD`, with lazy tiered
+    /// scheduling and intra-tier early termination.
     pub fn detect_column(&self, values: &[String]) -> Option<usize> {
         self.detect_column_with(values, None)
     }
@@ -302,9 +215,10 @@ impl DetectorRuntime {
     }
 
     /// Detect every column of a table in one tiered schedule — the
-    /// `POST /detect/table` fan-out. Per column, the verdict equals
-    /// [`detect_column`](Self::detect_column); across columns, each tier's
-    /// waves interleave all undecided columns so the pool stays saturated.
+    /// `POST /detect/table` fan-out and the table2 experiment. Per column,
+    /// the verdict equals [`detect_column`](Self::detect_column); across
+    /// columns, each tier's waves interleave all undecided columns so the
+    /// pool stays saturated.
     pub fn detect_table(
         &self,
         columns: &[Vec<String>],
@@ -314,17 +228,27 @@ impl DetectorRuntime {
         self.detect_columns_tiered(&refs, max_fuel)
     }
 
-    /// The tiered column scheduler. For each pack tier, still-unclaimed
-    /// columns contribute waves of `workers × WAVE_FACTOR` cells each; a
-    /// column stops probing within the tier the moment its accept count
-    /// reaches [`min_accepts_to_pass`] (it passes whatever the remaining
-    /// values say) or mathematically cannot reach it (it fails). Columns a
-    /// tier claims drop out of later tiers entirely.
+    /// The tiered column scheduler behind every `detect_*` entry point.
+    /// For each pack tier, still-unclaimed columns contribute waves of
+    /// `workers × WAVE_FACTOR` cells each; a column stops probing within
+    /// the tier the moment its accept count reaches [`min_accepts_to_pass`]
+    /// (it passes whatever the remaining values say) or mathematically
+    /// cannot reach it (it fails). Columns a tier claims drop out of later
+    /// tiers entirely.
     fn detect_columns_tiered(
         &self,
         columns: &[&[String]],
         max_fuel: Option<u64>,
     ) -> Vec<Option<usize>> {
+        // Per-column probe state within one tier.
+        struct TierState {
+            ci: usize,
+            probed: usize,
+            accepted: usize,
+            need: usize,
+            decided: Option<bool>,
+        }
+
         let total: u64 = columns.iter().map(|c| c.len() as u64).sum();
         self.metrics
             .values_served
@@ -334,7 +258,7 @@ impl DetectorRuntime {
         if npacks == 0 || total == 0 {
             return out;
         }
-        let wave = self.pool.workers().max(1) * WAVE_FACTOR;
+        let wave = self.pool.workers() * WAVE_FACTOR;
         let mut issued = 0u64;
         let mut unresolved: Vec<usize> = (0..columns.len())
             .filter(|&ci| !columns[ci].is_empty())
@@ -342,14 +266,6 @@ impl DetectorRuntime {
         for pi in 0..npacks {
             if unresolved.is_empty() {
                 break;
-            }
-            // Per-column probe state within this tier.
-            struct TierState {
-                ci: usize,
-                probed: usize,
-                accepted: usize,
-                need: usize,
-                decided: Option<bool>,
             }
             let mut tiers: Vec<TierState> = unresolved
                 .iter()
@@ -361,7 +277,6 @@ impl DetectorRuntime {
                     decided: None,
                 })
                 .collect();
-            let column_of: Vec<usize> = unresolved.clone();
             loop {
                 let mut cells: Vec<(usize, usize)> = Vec::new();
                 for (ti, t) in tiers.iter().enumerate() {
@@ -374,19 +289,14 @@ impl DetectorRuntime {
                     break;
                 }
                 issued += cells.len() as u64;
-                let verdicts = self.pool.run_ordered(cells.clone(), |_, (ti, vi)| {
-                    self.probe_capped(pi, &columns[column_of[ti]][vi], max_fuel)
+                let verdicts = self.pool.run_ordered(cells, |_, (ti, vi)| {
+                    (ti, self.probe(pi, &columns[tiers[ti].ci][vi], max_fuel))
                 });
-                for (&(ti, _), verdict) in cells.iter().zip(verdicts) {
+                for (ti, verdict) in verdicts {
                     tiers[ti].probed += 1;
-                    if verdict {
-                        tiers[ti].accepted += 1;
-                    }
+                    tiers[ti].accepted += usize::from(verdict);
                 }
-                for t in tiers.iter_mut() {
-                    if t.decided.is_some() {
-                        continue;
-                    }
+                for t in tiers.iter_mut().filter(|t| t.decided.is_none()) {
                     let remaining = columns[t.ci].len() - t.probed;
                     if t.accepted >= t.need {
                         t.decided = Some(true);
@@ -395,41 +305,19 @@ impl DetectorRuntime {
                     }
                 }
             }
-            let mut survivors = Vec::with_capacity(tiers.len());
+            unresolved.clear();
             for t in &tiers {
                 if t.decided == Some(true) {
                     out[t.ci] = Some(pi);
                 } else {
-                    survivors.push(t.ci);
+                    unresolved.push(t.ci);
                 }
             }
-            unresolved = survivors;
         }
         self.metrics
             .probes_saved
             .fetch_add(total * npacks as u64 - issued, Ordering::Relaxed);
         out
-    }
-
-    /// The eager column detection [`detect_column`](Self::detect_column)
-    /// replaced: warm the full `value × pack` matrix through the pool
-    /// (counted normally), then re-read verdicts quietly for the threshold
-    /// scan. Kept as the reference implementation for equivalence tests
-    /// and benchmarks.
-    pub fn detect_column_eager(&self, values: &[String]) -> Option<usize> {
-        self.metrics
-            .values_served
-            .fetch_add(values.len() as u64, Ordering::Relaxed);
-        if self.packs.is_empty() || values.is_empty() {
-            return None;
-        }
-        let npacks = self.packs.len();
-        let cells: Vec<(usize, usize)> = (0..values.len())
-            .flat_map(|vi| (0..npacks).map(move |pi| (vi, pi)))
-            .collect();
-        self.pool
-            .run_ordered(cells, |_, (vi, pi)| self.probe(pi, &values[vi]));
-        (0..npacks).find(|&pi| column_passes(values, |v| self.verdict_quiet(pi, v)))
     }
 }
 
@@ -450,6 +338,7 @@ mod tests {
     use autotype_exec::{EntryPoint, Literal};
     use autotype_lang::{SiteId, ValueSummary};
     use autotype_pack::Pack;
+    use autotype_tables::{column_passes, detect_by_values_mut, Column, ValueDetectorMut};
 
     /// A pack whose DNF-E is just the synthetic black-box literal "the
     /// function returned True" — robust to branch-site numbering, so the
@@ -479,55 +368,87 @@ mod tests {
         }
     }
 
-    fn runtime(workers: usize) -> DetectorRuntime {
-        // Priority order: even-length first, then short (< 3 chars).
+    /// Slugs of [`validators`] in priority order.
+    const SLUGS: [&str; 2] = ["evenlen", "short"];
+
+    /// Priority order: even-length first, then short (< 3 chars).
+    fn validators() -> Vec<PackValidator> {
         let even = boolean_pack(
-            "evenlen",
+            SLUGS[0],
             "is_even_len",
             "def is_even_len(s):\n    if len(s) % 2 == 0:\n        return True\n    return False\n",
         );
         let short = boolean_pack(
-            "short",
+            SLUGS[1],
             "is_short",
             "def is_short(s):\n    if len(s) < 3:\n        return True\n    return False\n",
         );
-        DetectorRuntime::from_packs(
-            vec![even.validator().unwrap(), short.validator().unwrap()],
-            workers,
-            1024,
-        )
+        vec![even.validator().unwrap(), short.validator().unwrap()]
+    }
+
+    fn runtime(workers: usize) -> DetectorRuntime {
+        DetectorRuntime::from_packs(validators(), workers, 1024)
+    }
+
+    /// Single-value detection, through the batch path.
+    fn detect_one(rt: &DetectorRuntime, value: &str) -> Option<usize> {
+        rt.detect_batch(&[value.to_string()])[0]
+    }
+
+    /// The serial first-match reference: `detect_by_values_mut` over plain
+    /// `PackValidator` probes, outside the runtime's cache, pool and
+    /// scheduler. A value is scored as a one-value column.
+    fn reference(columns: &[Vec<String>]) -> Vec<Option<usize>> {
+        let packs = validators();
+        let columns: Vec<Column> = columns
+            .iter()
+            .map(|values| Column {
+                header: None,
+                values: values.clone(),
+                truth: None,
+            })
+            .collect();
+        let mut detectors: Vec<ValueDetectorMut> = packs
+            .iter()
+            .zip(SLUGS)
+            .map(|(pack, slug)| {
+                let mut slot = pack.probe_executor();
+                let probe = move |v: &str| pack.accepts_with_fuel_in(&mut slot, v, None).0;
+                (slug, Box::new(probe) as Box<dyn FnMut(&str) -> bool>)
+            })
+            .collect();
+        let mut out = vec![None; columns.len()];
+        for d in detect_by_values_mut(&columns, &mut detectors) {
+            out[d.column] = SLUGS.iter().position(|s| *s == d.slug);
+        }
+        out
     }
 
     #[test]
-    fn detect_value_first_match_wins() {
+    fn single_value_first_match_wins() {
         let rt = runtime(1);
         // "ab": even length → pack 0 wins even though pack 1 also accepts.
-        assert_eq!(rt.detect_value("ab"), Some(0));
+        assert_eq!(detect_one(&rt, "ab"), Some(0));
         // "a": odd but short → pack 1.
-        assert_eq!(rt.detect_value("a"), Some(1));
+        assert_eq!(detect_one(&rt, "a"), Some(1));
         // "abc": odd and long → no pack.
-        assert_eq!(rt.detect_value("abc"), None);
+        assert_eq!(detect_one(&rt, "abc"), None);
         // "ab" stopped at pack 0 → one saved cell; the others issued all.
         assert_eq!(Metrics::read(&rt.metrics().probes_saved), 1);
     }
 
     #[test]
-    fn detect_batch_matches_serial_and_eager_at_any_worker_count() {
+    fn detect_batch_matches_serial_reference_at_any_worker_count() {
         let values: Vec<String> = ["ab", "a", "abc", "abcd", "", "xyzzy"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let serial = runtime(1);
-        let expected: Vec<Option<usize>> = values.iter().map(|v| serial.detect_value(v)).collect();
+        let singletons: Vec<Vec<String>> = values.iter().map(|v| vec![v.clone()]).collect();
+        let expected = reference(&singletons);
+        assert_eq!(expected, [Some(0), Some(1), None, Some(0), Some(0), None]);
         for workers in [1usize, 2, 4, 8] {
             let rt = runtime(workers);
             assert_eq!(rt.detect_batch(&values), expected, "workers={workers}");
-            let eager = runtime(workers);
-            assert_eq!(
-                eager.detect_batch_eager(&values),
-                expected,
-                "eager workers={workers}"
-            );
         }
     }
 
@@ -586,7 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn lazy_column_matches_eager_at_any_worker_count() {
+    fn lazy_column_matches_serial_reference_at_any_worker_count() {
         let columns: Vec<Vec<String>> = [
             vec!["ab", "cd", "ef", "gh", "ij", "x"],
             vec!["a", "b", "c"],
@@ -597,13 +518,13 @@ mod tests {
         .iter()
         .map(|c| c.iter().map(|s| s.to_string()).collect())
         .collect();
+        let expected = reference(&columns);
         for workers in [1usize, 2, 4, 8] {
-            for column in &columns {
+            for (column, expected) in columns.iter().zip(&expected) {
                 let lazy = runtime(workers);
-                let eager = runtime(workers);
                 assert_eq!(
                     lazy.detect_column(column),
-                    eager.detect_column_eager(column),
+                    *expected,
                     "workers={workers} column={column:?}"
                 );
             }
@@ -659,17 +580,18 @@ mod tests {
     #[test]
     fn capped_probes_bypass_the_cache_and_change_no_cached_verdict() {
         let rt = runtime(1);
+        let ab = ["ab".to_string()];
         // Full-budget verdict, cached.
-        assert_eq!(rt.detect_value("ab"), Some(0));
+        assert_eq!(detect_one(&rt, "ab"), Some(0));
         let misses = Metrics::read(&rt.metrics().cache_misses);
         // A starved probe rejects everywhere — and must not read or write
         // the cache.
-        assert_eq!(rt.detect_value_with("ab", Some(1)), None);
+        assert_eq!(rt.detect_batch_with(&ab, Some(1)), [None]);
         assert_eq!(Metrics::read(&rt.metrics().cache_misses), misses);
         // The cached full-budget verdict is unharmed.
-        assert_eq!(rt.detect_value("ab"), Some(0));
+        assert_eq!(detect_one(&rt, "ab"), Some(0));
         // A generous cap clamps to the pack budget and may use the cache.
-        assert_eq!(rt.detect_value_with("ab", Some(u64::MAX)), Some(0));
+        assert_eq!(rt.detect_batch_with(&ab, Some(u64::MAX)), [Some(0)]);
     }
 
     #[test]
@@ -711,16 +633,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn column_warm_pass_does_not_double_count_hits() {
-        let rt = runtime(1);
-        let values: Vec<String> = ["ab", "cd", "ef"].iter().map(|s| s.to_string()).collect();
-        rt.detect_column_eager(&values);
-        // Warm pass: 3 values × 2 packs = 6 misses; the threshold scan
-        // re-reads quietly, so hits stay 0.
-        assert_eq!(Metrics::read(&rt.metrics().cache_misses), 6);
-        assert_eq!(Metrics::read(&rt.metrics().cache_hits), 0);
     }
 }

@@ -1,13 +1,17 @@
 //! Property-style equivalence test: lazy tiered scheduling must produce
-//! bit-identical verdicts to the eager `value × pack` matrix — per value
-//! and per column — on randomized pack sets and value sets, at every
-//! worker count. This is the load-bearing guarantee of the scheduler:
-//! skipping dead matrix cells is only a perf change, never a semantic one.
+//! bit-identical verdicts to the serial first-match reference
+//! (`autotype_tables::detect_by_values_mut` over plain `PackValidator`
+//! probes, which share none of the runtime's cache, pool or scheduler) —
+//! per value and per column — on randomized pack sets and value sets, at
+//! every worker count. This is the load-bearing guarantee of the
+//! scheduler: skipping dead matrix cells is only a perf change, never a
+//! semantic one.
 
 use autotype_exec::{EntryPoint, Literal};
 use autotype_lang::{SiteId, ValueSummary};
 use autotype_pack::{Pack, PackValidator};
 use autotype_serve::DetectorRuntime;
+use autotype_tables::{detect_by_values_mut, Column, ValueDetectorMut};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// A pack accepting exactly the inputs for which the program returns True.
@@ -60,6 +64,38 @@ fn validators(packs: &[Pack]) -> Vec<PackValidator> {
     packs.iter().map(|p| p.validator().unwrap()).collect()
 }
 
+/// The serial first-match reference: per column, the index of the first
+/// pack (in `packs` order) accepting more than 80% of its values, from
+/// `detect_by_values_mut` over one reused probe slot per pack.
+fn reference(packs: &[Pack], columns: &[Vec<String>]) -> Vec<Option<usize>> {
+    let validators = validators(packs);
+    // `detect_by_values_mut` names detectors with `&'static str`; name
+    // them by priority index instead of by slug.
+    const NAMES: [&str; 5] = ["0", "1", "2", "3", "4"];
+    let mut detectors: Vec<ValueDetectorMut> = validators
+        .iter()
+        .zip(NAMES)
+        .map(|(pack, name)| {
+            let mut slot = pack.probe_executor();
+            let probe = move |v: &str| pack.accepts_with_fuel_in(&mut slot, v, None).0;
+            (name, Box::new(probe) as Box<dyn FnMut(&str) -> bool>)
+        })
+        .collect();
+    let columns: Vec<Column> = columns
+        .iter()
+        .map(|values| Column {
+            header: None,
+            values: values.clone(),
+            truth: None,
+        })
+        .collect();
+    let mut out = vec![None; columns.len()];
+    for d in detect_by_values_mut(&columns, &mut detectors) {
+        out[d.column] = d.slug.parse().ok();
+    }
+    out
+}
+
 #[test]
 fn lazy_equals_eager_on_random_pack_and_value_sets() {
     let pool = pack_pool();
@@ -89,14 +125,11 @@ fn lazy_equals_eager_on_random_pack_and_value_sets() {
             })
             .collect();
 
-        // Ground truth: serial per-value scan at one worker, eager matrix.
-        let serial = DetectorRuntime::from_packs(validators(&chosen), 1, 1024);
-        let expected_batch: Vec<Option<usize>> =
-            values.iter().map(|v| serial.detect_value(v)).collect();
-        let expected_column = {
-            let rt = DetectorRuntime::from_packs(validators(&chosen), 1, 1024);
-            rt.detect_column_eager(&values)
-        };
+        // Ground truth: the serial reference, each value as a one-value
+        // column, and the whole batch as one column.
+        let singletons: Vec<Vec<String>> = values.iter().map(|v| vec![v.clone()]).collect();
+        let expected_batch = reference(&chosen, &singletons);
+        let expected_column = reference(&chosen, std::slice::from_ref(&values))[0];
 
         for workers in [1usize, 2, 4, 8] {
             let lazy = DetectorRuntime::from_packs(validators(&chosen), workers, 1024);
@@ -104,12 +137,6 @@ fn lazy_equals_eager_on_random_pack_and_value_sets() {
                 lazy.detect_batch(&values),
                 expected_batch,
                 "trial {trial} workers {workers}: lazy batch diverged\nvalues: {values:?}"
-            );
-            let eager = DetectorRuntime::from_packs(validators(&chosen), workers, 1024);
-            assert_eq!(
-                eager.detect_batch_eager(&values),
-                expected_batch,
-                "trial {trial} workers {workers}: eager batch diverged\nvalues: {values:?}"
             );
             let lazy_col = DetectorRuntime::from_packs(validators(&chosen), workers, 1024);
             assert_eq!(

@@ -9,7 +9,6 @@
 
 use crate::corpus::Column;
 use crate::regex::InferredPattern;
-use autotype_exec::ExecPool;
 
 /// Acceptance threshold over column values (both DNF-S and REGEX).
 pub const VALUE_THRESHOLD: f64 = 0.8;
@@ -21,23 +20,17 @@ pub struct Detection {
     pub slug: &'static str,
 }
 
-/// A named per-value predicate, as produced by validator synthesis.
-pub type ValueDetector<'a> = (&'static str, Box<dyn Fn(&str) -> bool + 'a>);
-
 /// A named per-value predicate with mutable state — the shape a synthesis
-/// `Session` produces, where every probe run charges fuel to the session.
+/// `Session` or a probe slot produces, where every probe run charges fuel
+/// or reuses an executor.
 pub type ValueDetectorMut<'a> = (&'static str, Box<dyn FnMut(&str) -> bool + 'a>);
-
-/// A named thread-safe per-value predicate for the batched detection path.
-pub type SyncValueDetector<'a> = (&'static str, Box<dyn Fn(&str) -> bool + Sync + 'a>);
 
 /// The §9.1 acceptance rule for one column: strictly more than
 /// [`VALUE_THRESHOLD`] of its values pass the predicate ("to account for
 /// dirty values such as meta-data mixed in columns"). Empty columns never
-/// pass. Every detection path funnels through this one comparison so the
-/// threshold semantics cannot drift between the serial, mutable, batched,
-/// and serve-runtime variants (`autotype-serve` calls it for
-/// `POST /detect/column`).
+/// pass. The serial loop below and the serve runtime's tiered scheduler
+/// (whose `min_accepts_to_pass` is derived from this same comparison) are
+/// the two places the rule is applied.
 pub fn column_passes(values: &[String], mut predicate: impl FnMut(&str) -> bool) -> bool {
     if values.is_empty() {
         return false;
@@ -46,11 +39,10 @@ pub fn column_passes(values: &[String], mut predicate: impl FnMut(&str) -> bool)
     accepted as f64 / values.len() as f64 > VALUE_THRESHOLD
 }
 
-/// Detect with stateful per-type value predicates. This is the reference
-/// detection loop: columns in order, detectors in order, first matching
-/// type wins for a column. [`detect_by_values`], [`detect_by_pattern`], and
-/// (by an index-ordered merge) [`detect_by_values_batched`] all share these
-/// semantics.
+/// Detect with stateful per-type value predicates. This is the serial
+/// reference detection loop: columns in order, detectors in order, first
+/// matching type wins for a column. [`detect_by_pattern`] runs on it, and
+/// the serve runtime's `DetectorRuntime` is tested against it.
 pub fn detect_by_values_mut(
     columns: &[Column],
     detectors: &mut [ValueDetectorMut<'_>],
@@ -62,61 +54,6 @@ pub fn detect_by_values_mut(
                 out.push(Detection { column: idx, slug });
                 break; // first matching type wins for a column
             }
-        }
-    }
-    out
-}
-
-/// Detect with per-type value predicates (the synthesized functions).
-pub fn detect_by_values(columns: &[Column], detectors: &[ValueDetector<'_>]) -> Vec<Detection> {
-    let mut muts: Vec<ValueDetectorMut<'_>> = detectors
-        .iter()
-        .map(|(slug, f)| {
-            (
-                *slug,
-                Box::new(move |v: &str| f(v)) as Box<dyn FnMut(&str) -> bool>,
-            )
-        })
-        .collect();
-    detect_by_values_mut(columns, &mut muts)
-}
-
-/// Batched column detection through an [`ExecPool`]: one job per
-/// column × detector, merged in input order.
-///
-/// Each job scores one (column, detector) cell of the matrix against
-/// [`VALUE_THRESHOLD`]; because jobs are enqueued column-major with
-/// detectors in priority order and merged by input index, the
-/// first-matching-type-wins rule produces exactly the [`detect_by_values`]
-/// detections at every worker count (`workers = 1` runs the jobs serially
-/// in input order). Unlike the serial loop, lower-priority detectors still
-/// run for an already-detected column — they execute in parallel and their
-/// verdicts are discarded by the merge, trading redundant work for
-/// latency.
-pub fn detect_by_values_batched(
-    columns: &[Column],
-    detectors: &[SyncValueDetector<'_>],
-    pool: &ExecPool,
-) -> Vec<Detection> {
-    let jobs: Vec<(usize, usize)> = (0..columns.len())
-        .filter(|ci| !columns[*ci].values.is_empty())
-        .flat_map(|ci| (0..detectors.len()).map(move |di| (ci, di)))
-        .collect();
-    let passed = pool.run_ordered(jobs.clone(), |_, (ci, di)| {
-        column_passes(&columns[ci].values, |v| (detectors[di].1)(v))
-    });
-    let mut out = Vec::new();
-    let mut decided: Option<usize> = None;
-    for (&(ci, di), pass) in jobs.iter().zip(passed) {
-        if decided == Some(ci) {
-            continue; // an earlier (higher-priority) detector already won
-        }
-        if pass {
-            out.push(Detection {
-                column: ci,
-                slug: detectors[di].0,
-            });
-            decided = Some(ci);
         }
     }
     out
@@ -292,9 +229,8 @@ mod tests {
     #[test]
     fn value_detection_uses_80_percent_threshold() {
         let cols = columns();
-        let detectors: Vec<(&'static str, Box<dyn Fn(&str) -> bool>)> =
-            vec![("ipv4", Box::new(ipv4_like))];
-        let detections = detect_by_values(&cols, &detectors);
+        let mut detectors: Vec<ValueDetectorMut> = vec![("ipv4", Box::new(ipv4_like))];
+        let detections = detect_by_values_mut(&cols, &mut detectors);
         // Column 0 has 5/6 valid (83%) → detected; column 1 is the
         // version-number ambiguity → also detected (the §9.2 false
         // positive); column 2 rejected.
@@ -310,25 +246,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_detection_matches_serial_at_every_worker_count() {
+    fn first_matching_detector_wins_in_priority_order() {
         let cols = columns();
-        let serial: Vec<(&'static str, Box<dyn Fn(&str) -> bool>)> = vec![
+        let mut detectors: Vec<ValueDetectorMut> = vec![
             ("ipv4", Box::new(ipv4_like)),
             ("anything", Box::new(|v: &str| !v.is_empty())),
         ];
-        let expected = detect_by_values(&cols, &serial);
+        let detections = detect_by_values_mut(&cols, &mut detectors);
         // "anything" accepts every non-empty value, so first-win priority is
         // actually exercised: ipv4 must still win columns 0 and 1.
-        assert_eq!(expected.iter().filter(|d| d.slug == "ipv4").count(), 2);
-        assert_eq!(expected.iter().filter(|d| d.slug == "anything").count(), 1);
-        for workers in [1, 2, 4, 8] {
-            let batched: Vec<SyncValueDetector> = vec![
-                ("ipv4", Box::new(ipv4_like)),
-                ("anything", Box::new(|v: &str| !v.is_empty())),
-            ];
-            let got = detect_by_values_batched(&cols, &batched, &ExecPool::new(workers));
-            assert_eq!(got, expected, "workers={workers}");
-        }
+        assert_eq!(detections.iter().filter(|d| d.slug == "ipv4").count(), 2);
+        assert_eq!(
+            detections.iter().filter(|d| d.slug == "anything").count(),
+            1
+        );
     }
 
     #[test]
@@ -381,9 +312,8 @@ mod tests {
     #[test]
     fn scoring_computes_precision_and_pooled_recall() {
         let cols = columns();
-        let detectors: Vec<(&'static str, Box<dyn Fn(&str) -> bool>)> =
-            vec![("ipv4", Box::new(ipv4_like))];
-        let detections = detect_by_values(&cols, &detectors);
+        let mut detectors: Vec<ValueDetectorMut> = vec![("ipv4", Box::new(ipv4_like))];
+        let detections = detect_by_values_mut(&cols, &mut detectors);
         let union = correct_columns(&detections, &cols, "ipv4");
         let outcome = score_type(&detections, &cols, "ipv4", &union);
         assert_eq!(outcome.detected, 2);

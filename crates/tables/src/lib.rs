@@ -15,8 +15,7 @@ pub mod regex;
 
 pub use corpus::{generate_columns, Column, TableConfig, PAPER_TYPE_COUNTS};
 pub use detect::{
-    column_passes, correct_columns, detect_by_header, detect_by_pattern, detect_by_values,
-    detect_by_values_batched, detect_by_values_mut, score_type, Detection, SyncValueDetector,
-    TypeOutcome, ValueDetector, ValueDetectorMut, VALUE_THRESHOLD,
+    column_passes, correct_columns, detect_by_header, detect_by_pattern, detect_by_values_mut,
+    score_type, Detection, TypeOutcome, ValueDetectorMut, VALUE_THRESHOLD,
 };
 pub use regex::{infer_pattern, InferredPattern, PTok};

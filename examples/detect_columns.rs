@@ -6,12 +6,11 @@
 //! cargo run --release --example detect_columns
 //! ```
 
-use autotype::{AutoType, AutoTypeConfig, BatchValidator, NegativeMode};
+use autotype::{AutoType, AutoTypeConfig, NegativeMode, PackValidator};
 use autotype_corpus::{build_corpus, CorpusConfig};
 use autotype_rank::Method;
-use autotype_tables::{
-    detect_by_values_batched, generate_columns, SyncValueDetector, TableConfig, VALUE_THRESHOLD,
-};
+use autotype_serve::DetectorRuntime;
+use autotype_tables::{generate_columns, TableConfig, VALUE_THRESHOLD};
 use autotype_typesys::by_slug;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,42 +56,40 @@ fn main() {
         VALUE_THRESHOLD * 100.0
     );
 
-    // Batch the whole column × detector matrix through the engine's exec
-    // pool: each synthesized validator becomes a thread-safe batch handle,
-    // and the index-ordered merge keeps first-matching-type-wins semantics
-    // identical at every worker count.
-    let handles: Vec<(&'static str, BatchValidator<'_>)> = synthesized
+    // Export each synthesized validator as an in-memory detector pack and
+    // run every column through one detection runtime: detector order is
+    // the priority order, and the first type whose validator accepts the
+    // column wins, identically at every worker count.
+    let (slugs, validators): (Vec<&str>, Vec<PackValidator>) = synthesized
         .iter()
-        .filter_map(|(slug, session, top)| session.batch_validator(top).map(|bv| (*slug, bv)))
-        .collect();
-    let detectors: Vec<SyncValueDetector<'_>> = handles
-        .iter()
-        .map(|(slug, bv)| {
-            (
-                *slug,
-                Box::new(move |v: &str| bv.accepts(v)) as Box<dyn Fn(&str) -> bool + Sync>,
-            )
+        .filter_map(|(slug, session, top)| {
+            let pack = session.export_pack(top, slug, Method::DnfS)?;
+            Some((*slug, pack.validator().expect("exported pack rehydrates")))
         })
-        .collect();
-    let detections = detect_by_values_batched(&columns, &detectors, engine.pool());
+        .unzip();
+    let runtime = DetectorRuntime::from_packs(validators, engine.workers(), 65_536);
+    let column_values: Vec<Vec<String>> = columns.iter().map(|c| c.values.clone()).collect();
+    let detections = runtime.detect_table(&column_values, None);
 
-    for d in &detections {
-        let column = &columns[d.column];
+    let mut annotated = 0;
+    for (ci, pack) in detections.into_iter().enumerate() {
+        let Some(pi) = pack else {
+            continue;
+        };
+        annotated += 1;
+        let column = &columns[ci];
         println!(
             "  column {:>3} {:<12} detected as {:<11} (truth: {:?}), e.g. {:?}",
-            d.column,
+            ci,
             column
                 .header
                 .as_deref()
                 .map(|h| format!("{h:?}"))
                 .unwrap_or_else(|| "<no header>".into()),
-            d.slug,
+            slugs[pi],
             column.truth,
             column.values.first().unwrap()
         );
     }
-    println!(
-        "\n{} columns annotated with rich semantic types",
-        detections.len()
-    );
+    println!("\n{annotated} columns annotated with rich semantic types");
 }

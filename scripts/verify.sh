@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate: formatting, release build, tier-1 tests, the
 # complete workspace test suite (including the vendored stub crates),
-# and a warnings-as-errors clippy pass.
+# the benchmark build, and a warnings-as-errors clippy pass.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -19,8 +19,13 @@ cargo test -q
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
-echo "== serve integration tests (keep-alive, lazy==eager, golden packs) =="
+echo "== serve integration tests (keep-alive, lazy == serial reference, golden packs) =="
 cargo test -p autotype-serve --test keepalive --test lazy_eager --test golden --test loopback -q
+
+# The benchmark is its own package outside the workspace: building it
+# catches a public-API change that breaks it.
+echo "== perfbench build =="
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings

@@ -63,12 +63,15 @@ proptest! {
 
         let original = pack.validator().expect("original validator");
         let rehydrated = round_tripped.validator().expect("rehydrated validator");
+        // The original probes through a fresh slot each time, the
+        // rehydrated one through a single reused slot.
+        let mut reused = rehydrated.probe_executor();
         // The generated value, plus fixed positives/negatives so every
         // case exercises both verdict polarities.
         for input in [value.as_str(), "abcd", "", "abc", "\u{e9}\u{e9}"] {
             prop_assert_eq!(
-                original.accepts(input),
-                rehydrated.accepts(input),
+                original.accepts_with_fuel_in(&mut original.probe_executor(), input, None),
+                rehydrated.accepts_with_fuel_in(&mut reused, input, None),
                 "verdicts diverged on {:?}", input
             );
         }
