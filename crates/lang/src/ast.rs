@@ -5,6 +5,11 @@
 //! `(file, line)` site, mirroring AutoType's bytecode instrumentation which
 //! dumps "the filename and line number of the corresponding branch/return"
 //! (paper, Appendix D.2).
+//!
+//! Function bodies sit behind `Arc`: binding a `def` or a class at run time
+//! shares the parsed body instead of copying it (parse once, execute many).
+
+use std::sync::Arc;
 
 /// A parsed source file: a sequence of top-level statements.
 ///
@@ -151,7 +156,7 @@ pub enum Stmt {
         handlers: Vec<ExceptHandler>,
         line: u32,
     },
-    FuncDef(FuncDef),
+    FuncDef(Arc<FuncDef>),
     ClassDef(ClassDef),
     Import {
         module: String,
@@ -186,7 +191,7 @@ pub struct FuncDef {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassDef {
     pub name: String,
-    pub methods: Vec<FuncDef>,
+    pub methods: Vec<Arc<FuncDef>>,
     pub line: u32,
 }
 
@@ -194,7 +199,7 @@ impl Module {
     /// All top-level function definitions in the module.
     pub fn functions(&self) -> impl Iterator<Item = &FuncDef> {
         self.body.iter().filter_map(|s| match s {
-            Stmt::FuncDef(f) => Some(f),
+            Stmt::FuncDef(f) => Some(&**f),
             _ => None,
         })
     }

@@ -22,6 +22,8 @@
 //! atom      := literal | NAME | '(' expr ')' | list | dict
 //! ```
 
+use std::sync::Arc;
+
 use crate::ast::*;
 use crate::token::{Tok, Token};
 
@@ -231,7 +233,7 @@ impl Parser {
         }
     }
 
-    fn parse_funcdef(&mut self) -> Result<FuncDef, ParseError> {
+    fn parse_funcdef(&mut self) -> Result<Arc<FuncDef>, ParseError> {
         let line = self.peek_line();
         self.expect(Tok::Def)?;
         let (name, _) = self.expect_ident()?;
@@ -248,12 +250,12 @@ impl Parser {
         }
         self.expect(Tok::RParen)?;
         let body = self.parse_block()?;
-        Ok(FuncDef {
+        Ok(Arc::new(FuncDef {
             name,
             params,
             body,
             line,
-        })
+        }))
     }
 
     fn parse_classdef(&mut self) -> Result<Stmt, ParseError> {

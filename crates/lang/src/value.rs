@@ -4,6 +4,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::ast::FuncDef;
 
@@ -20,10 +21,11 @@ pub enum Value {
     List(Rc<RefCell<Vec<Value>>>),
     Dict(Rc<RefCell<BTreeMap<String, Value>>>),
     /// A user-defined function (possibly a method before binding) together
-    /// with the id of the file that defines it.
-    Func(Rc<FuncDef>, u32),
+    /// with the id of the file that defines it. The definition is the
+    /// parsed AST node itself, shared, not a copy.
+    Func(Arc<FuncDef>, u32),
     /// A bound method: receiver + function.
-    Bound(Rc<RefCell<Object>>, Rc<FuncDef>, u32),
+    Bound(Rc<RefCell<Object>>, Arc<FuncDef>, u32),
     /// A class, instantiable by calling it.
     Class(Rc<ClassObj>),
     /// An instance of a user-defined class.
@@ -39,7 +41,7 @@ pub enum Value {
 /// Class runtime representation.
 pub struct ClassObj {
     pub name: String,
-    pub methods: BTreeMap<String, Rc<FuncDef>>,
+    pub methods: BTreeMap<String, Arc<FuncDef>>,
     pub file: u32,
 }
 
