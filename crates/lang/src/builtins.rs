@@ -296,7 +296,7 @@ pub fn call_method(
     line: u32,
 ) -> Result<Value, PyError> {
     match &recv {
-        Value::Str(s) => str_method(s, name, &args, line),
+        Value::Str(s) => str_method(interp, s, name, &args, line),
         Value::List(l) => {
             let l = l.clone();
             list_method(&l, name, args, line)
@@ -316,7 +316,13 @@ pub fn call_method(
     }
 }
 
-fn str_method(s: &str, name: &str, args: &[Value], line: u32) -> Result<Value, PyError> {
+fn str_method(
+    interp: &mut Interp,
+    s: &str,
+    name: &str,
+    args: &[Value],
+    line: u32,
+) -> Result<Value, PyError> {
     let arg_str = |i: usize| -> Result<&str, PyError> {
         match args.get(i) {
             Some(Value::Str(v)) => Ok(v.as_ref()),
@@ -426,6 +432,9 @@ fn str_method(s: &str, name: &str, args: &[Value], line: u32) -> Result<Value, P
                 _ => return Err(PyError::type_error("zfill() expects an int", line)),
             };
             let len = s.chars().count();
+            // The padding grows with an input-derived width: pay for it
+            // before allocating it.
+            interp.charge_external(width.saturating_sub(len) as u64)?;
             if len >= width {
                 Ok(Value::str(s.to_string()))
             } else {
